@@ -31,9 +31,11 @@ fn matrix() -> Vec<(String, WorkflowConfig)> {
     let telemetry = TelemetryCfg::windowed(SimTime::from_millis(500));
     let un = tiny(WorkflowProtocol::Uncoordinated).with_telemetry(telemetry.clone());
     let co = tiny(WorkflowProtocol::Coordinated).with_telemetry(telemetry.clone());
-    let failing = tiny(WorkflowProtocol::Uncoordinated)
+    let mut failing = tiny(WorkflowProtocol::Uncoordinated)
         .with_failures(vec![FailureSpec::At { at: SimTime::from_millis(700), app: 1 }])
         .with_telemetry(telemetry);
+    // Only the printed summary reads the label; seeds do not derive from it.
+    failing.label = "tiny/Un+fail".into();
     vec![("fig9/Un".into(), un), ("fig9/Co".into(), co), ("fig9/Un+fail".into(), failing)]
 }
 

@@ -38,9 +38,8 @@
 //!   CPU cost model) and client-side request planning.
 //! * [`threaded`] — a real-thread staging server over `net::ThreadedNet`.
 //! * [`wire`] — little-endian binary codec primitives shared by the durable
-//!   journals (`store_journal` here, `wfcr`'s journal) so hot-path entries
-//!   skip serde_json; legacy JSON journals stay readable via one-byte
-//!   sniffing.
+//!   journals (`store_journal` here, `wfcr`'s journal); it is their only
+//!   record codec.
 
 pub mod dist;
 pub mod geometry;

@@ -160,7 +160,6 @@ pub struct GetResponse {
 
 /// Control messages from the workflow-level framework to staging servers
 /// (the paper's `workflow_check` / `workflow_restart` notifications).
-/// Serializable so the durable store journal can record them verbatim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CtlRequest {
     /// `workflow_check()`: the component finished a checkpoint covering all

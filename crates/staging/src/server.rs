@@ -508,7 +508,8 @@ impl<B: StoreBackend> StagingServerActor<B> {
         // Durable-layer visibility: the journal counters are monotone, so a
         // delta since the last traced op means this op's append crossed a
         // flush threshold (or watermark compaction dropped segments).
-        let flushed = self.logic.backend().journal_bytes_flushed();
+        let journal = self.logic.backend().journal_stats();
+        let flushed = journal.bytes_flushed;
         if flushed > self.seen_flushed {
             self.tracer.instant(
                 self.op_span,
@@ -520,7 +521,7 @@ impl<B: StoreBackend> StagingServerActor<B> {
             );
             self.seen_flushed = flushed;
         }
-        let compacted = self.logic.backend().journal_segments_compacted();
+        let compacted = journal.segments_compacted;
         if compacted > self.seen_compacted {
             self.tracer.instant(
                 self.op_span,

@@ -13,7 +13,8 @@ use crate::proto::{
     PutResponse, PutStatus,
 };
 use crate::store::VersionedStore;
-use crate::store_journal::{StoreJournal, StoreJournalEntry};
+use crate::store_journal::StoreJournalEntry;
+use logstore::{Journal, JournalStats, LogStore};
 use serde::{Deserialize, Serialize};
 use sim_core::time::SimTime;
 use std::collections::BTreeMap;
@@ -65,30 +66,12 @@ pub trait StoreBackend: Send + 'static {
     /// Bytes currently resident in the store (for memory experiments).
     fn bytes_resident(&self) -> u64;
 
-    /// Bytes physically flushed by the backend's durable journal so far.
-    /// Default 0: the backend has no journal. Monotone; the server actor
-    /// diffs it between operations to surface flushes in traces.
-    fn journal_bytes_flushed(&self) -> u64 {
-        0
-    }
-
-    /// Journal segment files deleted by watermark compaction so far.
-    /// Default 0 (no journal); monotone, diffed like
-    /// [`StoreBackend::journal_bytes_flushed`].
-    fn journal_segments_compacted(&self) -> u64 {
-        0
-    }
-
-    /// Journal group commits so far — fsyncs that made two or more records
-    /// durable at once. Default 0 (no journal or no batching).
-    fn journal_group_commits(&self) -> u64 {
-        0
-    }
-
-    /// Journal records delivered to the sink through batched hand-offs so
-    /// far. Default 0 (no journal or no batching).
-    fn journal_records_batched(&self) -> u64 {
-        0
+    /// The backend's durable-journal counters. Default all zero: the
+    /// backend has no journal. Each counter is monotone; the server actor
+    /// diffs `bytes_flushed` and `segments_compacted` between operations to
+    /// surface flushes and compactions in traces.
+    fn journal_stats(&self) -> JournalStats {
+        JournalStats::default()
     }
 
     /// Log events currently live (appended, not yet garbage-collected) in
@@ -156,7 +139,7 @@ pub struct PlainBackend {
     /// the "In" baseline's lack of a consistency guarantee.
     stale_gets: u64,
     /// Optional durable twin of the store's write/control history.
-    journal: Option<StoreJournal>,
+    journal: Option<Journal<StoreJournalEntry>>,
 }
 
 impl PlainBackend {
@@ -175,20 +158,20 @@ impl PlainBackend {
         }
     }
 
-    /// Attach a durable journal sink; subsequent puts and control events are
+    /// Attach a durable journal; subsequent puts and control events are
     /// recorded through it.
-    pub fn attach_journal(&mut self, sink: Box<dyn logstore::Journal>) {
-        self.journal = Some(StoreJournal::new(sink));
+    pub fn attach_journal(&mut self, log: Box<LogStore>) {
+        self.journal = Some(Journal::new(*log));
     }
 
-    /// Attach a durable journal sink with an explicit coalescing window:
-    /// entries are handed to the sink in batches of `coalesce` records (one
-    /// vectored group commit each). Control events still flush immediately.
-    pub fn attach_journal_coalesced(&mut self, sink: Box<dyn logstore::Journal>, coalesce: usize) {
-        self.journal = Some(StoreJournal::with_coalesce(sink, coalesce));
+    /// Attach a durable journal with an explicit coalescing window: entries
+    /// are handed to the log in batches of `coalesce` records (one vectored
+    /// group commit each). Control events still flush immediately.
+    pub fn attach_journal_coalesced(&mut self, log: Box<LogStore>, coalesce: usize) {
+        self.journal = Some(Journal::with_coalesce(*log, coalesce));
     }
 
-    /// Is a journal sink attached?
+    /// Is a journal attached?
     pub fn has_journal(&self) -> bool {
         self.journal.is_some()
     }
@@ -198,31 +181,6 @@ impl PlainBackend {
         if let Some(j) = self.journal.as_mut() {
             j.flush();
         }
-    }
-
-    /// Bytes the journal has physically flushed (0 when detached).
-    pub fn journal_bytes_flushed(&self) -> u64 {
-        self.journal.as_ref().map(StoreJournal::bytes_flushed).unwrap_or(0)
-    }
-
-    /// Segments the journal has compacted away (0 when detached).
-    pub fn journal_segments_compacted(&self) -> u64 {
-        self.journal.as_ref().map(StoreJournal::segments_compacted).unwrap_or(0)
-    }
-
-    /// Journal I/O errors swallowed (durability degraded, store unaffected).
-    pub fn journal_errors(&self) -> u64 {
-        self.journal.as_ref().map(StoreJournal::errors).unwrap_or(0)
-    }
-
-    /// Journal group commits (multi-record fsyncs; 0 when detached).
-    pub fn journal_group_commits(&self) -> u64 {
-        self.journal.as_ref().map(StoreJournal::group_commits).unwrap_or(0)
-    }
-
-    /// Journal records delivered through batched hand-offs (0 when detached).
-    pub fn journal_records_batched(&self) -> u64 {
-        self.journal.as_ref().map(StoreJournal::records_batched).unwrap_or(0)
     }
 
     /// Access the underlying store (tests).
@@ -242,7 +200,7 @@ impl StoreBackend for PlainBackend {
         let bytes = req.payload.accounted_len();
         let freed = self.store.put(req.desc, req.payload.clone());
         if let Some(j) = self.journal.as_mut() {
-            j.record_put(req);
+            j.record(&StoreJournalEntry::Put { desc: req.desc, payload: req.payload.clone() });
         }
         (
             PutStatus::Stored,
@@ -275,7 +233,7 @@ impl StoreBackend for PlainBackend {
             stats.freed_bytes = self.store.remove_newer_than(to_version);
         }
         if let Some(j) = self.journal.as_mut() {
-            j.record_ctl(req);
+            j.record(&StoreJournalEntry::Ctl { req });
         }
         (CtlResponse { req, pending_replay: 0 }, stats)
     }
@@ -289,20 +247,8 @@ impl StoreBackend for PlainBackend {
         self.store.bytes()
     }
 
-    fn journal_bytes_flushed(&self) -> u64 {
-        PlainBackend::journal_bytes_flushed(self)
-    }
-
-    fn journal_segments_compacted(&self) -> u64 {
-        PlainBackend::journal_segments_compacted(self)
-    }
-
-    fn journal_group_commits(&self) -> u64 {
-        PlainBackend::journal_group_commits(self)
-    }
-
-    fn journal_records_batched(&self) -> u64 {
-        PlainBackend::journal_records_batched(self)
+    fn journal_stats(&self) -> JournalStats {
+        self.journal.as_ref().map(Journal::stats).unwrap_or_default()
     }
 }
 
@@ -659,13 +605,13 @@ mod tests {
         backend.control(CtlRequest::Checkpoint { app: 0, upto_version: 2 });
         backend.put(&put_req(3, 100)); // buffered, lost at crash
         assert!(backend.has_journal());
-        assert!(backend.journal_bytes_flushed() > 0);
-        assert_eq!(backend.journal_errors(), 0);
+        assert!(backend.journal_stats().bytes_flushed > 0);
+        assert_eq!(backend.journal_stats().errors, 0);
         drop(backend);
         mem.crash();
 
         let survivors = LogStore::open(Box::new(mem.clone()), cfg).unwrap().read_all().unwrap();
-        let entries = crate::store_journal::decode_records(&survivors);
+        let entries: Vec<StoreJournalEntry> = logstore::decode_records(&survivors);
         assert_eq!(entries.len(), 3, "both puts plus the checkpoint marker survive");
         let rebuilt = PlainBackend::from_journal(&entries, 4);
         assert_eq!(rebuilt.store().newest_version(0), Some(2));

@@ -1,18 +1,16 @@
 //! Binary wire codec primitives for journal entries.
 //!
-//! The journal layers (`staging::store_journal`, `wfcr::journal`) used to
-//! serialize every entry with serde_json — measurable per-put overhead on the
-//! paper's hot path. This module provides the length-free little-endian
-//! primitives both layers now share:
+//! The journal layers (`staging::store_journal`, `wfcr::journal`) encode
+//! every entry with these length-free little-endian primitives — the only
+//! record codec either layer has:
 //!
 //! ```text
 //! entry := WIRE_MAGIC  WIRE_VERSION  tag:u8  fields…  [inline payload bytes]
 //! ```
 //!
-//! * The first byte is [`WIRE_MAGIC`] (`0xB1`), deliberately distinct from
-//!   `{` (`0x7B`), the first byte of every serde_json entry — decoders sniff
-//!   one byte and fall back to the JSON reader for journals written before
-//!   the binary codec existed.
+//! * The first byte is [`WIRE_MAGIC`] (`0xB1`); [`Reader::for_entry`]
+//!   rejects any other, so a foreign body (e.g. a JSON object) decodes to
+//!   an error, never to a wrong entry.
 //! * Integers are fixed-width little-endian; no varints, so encode size is
 //!   a pure function of the entry shape and the scratch encoder never
 //!   reallocates in steady state.
@@ -31,17 +29,11 @@ use crate::payload::Payload;
 use bytes::Bytes;
 use std::fmt;
 
-/// First byte of every binary journal entry. Never `0x7B` (`{`), so binary
-/// and legacy-JSON entries are distinguishable from one byte.
+/// First byte of every binary journal entry.
 pub const WIRE_MAGIC: u8 = 0xB1;
 
 /// Binary codec version, bumped on incompatible layout changes.
 pub const WIRE_VERSION: u8 = 1;
-
-/// Does this record body carry a binary-codec entry (vs legacy JSON)?
-pub fn is_binary(data: &[u8]) -> bool {
-    data.first() == Some(&WIRE_MAGIC)
-}
 
 /// A malformed binary entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

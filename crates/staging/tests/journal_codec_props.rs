@@ -1,8 +1,6 @@
 //! Property tests for the store-journal wire codec: the binary encoding
-//! round-trips every representable entry, the legacy JSON encoding still
-//! decodes through the same entry point (cross-version compatibility for
-//! journals written before the binary format), and the one-byte format
-//! sniff can never confuse the two.
+//! round-trips every representable entry, the zero-copy meta/payload split
+//! matches the contiguous encoding, and truncation never misdecodes.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -56,16 +54,6 @@ proptest! {
         let encoded = entry.encode();
         prop_assert_eq!(encoded[0], wire::WIRE_MAGIC);
         let back = StoreJournalEntry::decode(&encoded).expect("binary decode");
-        prop_assert_eq!(back, entry);
-    }
-
-    /// Cross-version: a journal written by the old JSON codec decodes through
-    /// the same entry point to the identical entry.
-    #[test]
-    fn legacy_json_codec_round_trips(entry in arb_entry()) {
-        let encoded = entry.encode_json();
-        prop_assert!(!wire::is_binary(&encoded), "JSON must not sniff as binary");
-        let back = StoreJournalEntry::decode(&encoded).expect("JSON decode");
         prop_assert_eq!(back, entry);
     }
 

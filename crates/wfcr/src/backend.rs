@@ -18,9 +18,10 @@
 
 use crate::event::LogEvent;
 use crate::gc::GcState;
-use crate::journal::{JournalEntry, JournalHandle};
+use crate::journal::JournalEntry;
 use crate::queue::EventQueue;
 use crate::replay::{GetDecision, PutDecision, ReplayManager};
+use logstore::{Journal, JournalStats, LogStore};
 use staging::payload::fnv1a_words;
 use staging::proto::{
     AppId, CtlRequest, CtlResponse, GetPiece, GetRequest, PutRequest, PutStatus, Version,
@@ -103,7 +104,7 @@ pub struct LoggingBackend {
     /// Optional durable journal: every stored put, served get, and control
     /// marker is mirrored to disk so the whole backend can be rebuilt after
     /// full process death ([`LoggingBackend::from_journal`]).
-    journal: Option<JournalHandle>,
+    journal: Option<Journal<JournalEntry>>,
     /// Mutation hook: offset added to the version served for replayed gets,
     /// deliberately breaking replay-version fidelity. Model-checker tests
     /// use it to verify the oracles catch the violation; always 0 otherwise.
@@ -135,20 +136,20 @@ impl LoggingBackend {
         }
     }
 
-    /// Attach a durable journal sink. From here on, every stored put, served
+    /// Attach a durable journal. From here on, every stored put, served
     /// get, checkpoint, and recovery marker is mirrored through it; control
     /// entries flush, so the durable prefix always reaches the last
     /// checkpoint.
-    pub fn attach_journal(&mut self, sink: Box<dyn logstore::Journal>) {
-        self.journal = Some(JournalHandle::new(sink));
+    pub fn attach_journal(&mut self, log: Box<LogStore>) {
+        self.journal = Some(Journal::new(*log));
     }
 
-    /// Attach a durable journal sink with an explicit coalescing window:
-    /// entries are handed to the sink in batches of `coalesce` records (one
-    /// vectored group commit each) instead of the default window. Commit
-    /// points still hand off and flush immediately.
-    pub fn attach_journal_coalesced(&mut self, sink: Box<dyn logstore::Journal>, coalesce: usize) {
-        self.journal = Some(JournalHandle::with_coalesce(sink, coalesce));
+    /// Attach a durable journal with an explicit coalescing window: entries
+    /// are handed to the log in batches of `coalesce` records (one vectored
+    /// group commit each) instead of the default window. Commit points still
+    /// hand off and flush immediately.
+    pub fn attach_journal_coalesced(&mut self, log: Box<LogStore>, coalesce: usize) {
+        self.journal = Some(Journal::with_coalesce(*log, coalesce));
     }
 
     /// Is a durable journal attached?
@@ -164,31 +165,22 @@ impl LoggingBackend {
         }
     }
 
-    /// Bytes the journal has physically flushed (0 without a journal).
+    /// `journal_stats().bytes_flushed`, callable without [`StoreBackend`] in
+    /// scope.
     pub fn journal_bytes_flushed(&self) -> u64 {
-        self.journal.as_ref().map_or(0, JournalHandle::bytes_flushed)
+        StoreBackend::journal_stats(self).bytes_flushed
     }
 
-    /// Journal segments deleted by watermark compaction (0 without one).
-    pub fn journal_segments_compacted(&self) -> u64 {
-        self.journal.as_ref().map_or(0, JournalHandle::segments_compacted)
-    }
-
-    /// Journal I/O errors swallowed (durability degraded, not correctness).
-    pub fn journal_errors(&self) -> u64 {
-        self.journal.as_ref().map_or(0, JournalHandle::errors)
-    }
-
-    /// Journal group commits — fsyncs that made ≥2 records durable at once
-    /// (0 without a journal).
+    /// `journal_stats().group_commits`, callable without [`StoreBackend`] in
+    /// scope.
     pub fn journal_group_commits(&self) -> u64 {
-        self.journal.as_ref().map_or(0, JournalHandle::group_commits)
+        StoreBackend::journal_stats(self).group_commits
     }
 
-    /// Journal records delivered to the sink through batched hand-offs (0
-    /// without a journal).
+    /// `journal_stats().records_batched`, callable without [`StoreBackend`]
+    /// in scope.
     pub fn journal_records_batched(&self) -> u64 {
-        self.journal.as_ref().map_or(0, JournalHandle::records_batched)
+        StoreBackend::journal_stats(self).records_batched
     }
 
     /// Rebuild a backend by replaying recovered journal entries in order.
@@ -584,20 +576,8 @@ impl StoreBackend for LoggingBackend {
         self.store.bytes() + self.queue_bytes()
     }
 
-    fn journal_bytes_flushed(&self) -> u64 {
-        LoggingBackend::journal_bytes_flushed(self)
-    }
-
-    fn journal_segments_compacted(&self) -> u64 {
-        LoggingBackend::journal_segments_compacted(self)
-    }
-
-    fn journal_group_commits(&self) -> u64 {
-        LoggingBackend::journal_group_commits(self)
-    }
-
-    fn journal_records_batched(&self) -> u64 {
-        LoggingBackend::journal_records_batched(self)
+    fn journal_stats(&self) -> JournalStats {
+        self.journal.as_ref().map(Journal::stats).unwrap_or_default()
     }
 
     fn live_log_events(&self) -> u64 {
@@ -836,7 +816,7 @@ mod tests {
         b.control(CtlRequest::Checkpoint { app: SIM, upto_version: 4 });
         b.control(CtlRequest::Checkpoint { app: ANA, upto_version: 4 });
         run_steps(&mut b, 7, 8);
-        assert_eq!(b.journal_errors(), 0);
+        assert_eq!(b.journal_stats().errors, 0);
         let live_versions = b.store().versions(0);
         let live_next_w_chk = b.next_w_chk();
         drop(b); // full process death: no flush of the buffered tail
@@ -893,8 +873,8 @@ mod tests {
                 b.control(CtlRequest::Checkpoint { app: ANA, upto_version: v });
             }
         }
-        assert!(b.journal_segments_compacted() > 0, "GC floor must retire journal segments");
-        assert_eq!(b.journal_errors(), 0);
+        assert!(b.journal_stats().segments_compacted > 0, "GC floor must retire journal segments");
+        assert_eq!(b.journal_stats().errors, 0);
         // The compacted journal still rebuilds a backend that serves the
         // retained versions correctly.
         b.flush_journal();

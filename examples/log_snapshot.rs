@@ -115,7 +115,7 @@ fn main() {
         "\ndurable journal: {} bytes flushed at the checkpoint commit point",
         backend.journal_bytes_flushed()
     );
-    assert_eq!(backend.journal_errors(), 0);
+    assert_eq!(backend.journal_stats().errors, 0);
     drop(backend); // process death — no snapshot, no farewell flush
     media.crash(); // unsynced bytes vanish with the page cache
 
