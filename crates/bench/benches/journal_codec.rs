@@ -4,7 +4,6 @@
 //! meta/payload split) and the recovery-path cost (decode) are visible on
 //! their own. Numbers land in EXPERIMENTS.md §journal_codec.
 
-use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use staging::geometry::BBox;
 use staging::payload::Payload;
@@ -17,7 +16,7 @@ use wfcr::journal::JournalEntry;
 fn store_put(payload_len: usize) -> StoreJournalEntry {
     StoreJournalEntry::Put {
         desc: ObjDesc { var: 3, version: 41, bbox: BBox::d1(0, 1023) },
-        payload: Payload::Inline(Bytes::from(vec![0xA5u8; payload_len])),
+        payload: Payload::inline(vec![0xA5u8; payload_len]),
     }
 }
 
@@ -25,7 +24,7 @@ fn wfcr_put(payload_len: usize) -> JournalEntry {
     JournalEntry::Put {
         app: 0,
         desc: ObjDesc { var: 3, version: 41, bbox: BBox::d1(0, 1023) },
-        payload: Payload::Inline(Bytes::from(vec![0xA5u8; payload_len])),
+        payload: Payload::inline(vec![0xA5u8; payload_len]),
         digest: 0xDEAD_BEEF_F00D_CAFE,
     }
 }

@@ -12,19 +12,22 @@
 //! Both forms carry a 64-bit FNV-1a digest so the crash-consistency layer can
 //! assert replay equivalence ("the recovering consumer observed exactly the
 //! bytes the original execution observed") uniformly.
+//!
+//! An inline payload's digest is computed once, from its own bytes, and then
+//! travels with them through every clone: [`Payload::inline`] hashes at
+//! construction, so the server's put, get, replay and journal-encode paths
+//! read the stored value instead of re-hashing each block. A payload decoded
+//! from a journal record is hashed from its bytes the first time its digest
+//! is asked for; the digest written in the record is never trusted, so a
+//! corruption the frame CRC misses still fails replay verification.
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// FNV-1a 64-bit hash.
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+/// FNV-1a 64-bit hash (one implementation, shared with `logstore`).
+pub use logstore::checksum::fnv1a;
 
 /// Combine a digest with additional words (order-sensitive); used to derive
 /// deterministic content digests for virtual payloads.
@@ -39,11 +42,74 @@ pub fn fnv1a_words(seed: u64, words: &[u64]) -> u64 {
     h
 }
 
+/// The bytes of an inline payload together with their memoized FNV-1a
+/// digest. The fields are private: a digest can only ever come from hashing
+/// these bytes, so no caller can pair bytes with a wrong digest.
+pub struct InlineBytes {
+    bytes: Bytes,
+    /// The digest, or [`UNHASHED`] until it is first computed. The value is
+    /// a pure function of the immutable bytes, so a relaxed load that sees
+    /// it is always right, and a race at worst hashes twice.
+    digest: AtomicU64,
+}
+
+/// Marks a digest not computed yet. A payload whose bytes really hash to
+/// this value is simply re-hashed on every ask: correct, just not memoized.
+const UNHASHED: u64 = 0;
+
+impl InlineBytes {
+    /// Wrap bytes and hash them now.
+    fn hashed(bytes: Bytes) -> Self {
+        let digest = AtomicU64::new(fnv1a(&bytes));
+        InlineBytes { bytes, digest }
+    }
+
+    /// Wrap bytes whose digest is computed on first use.
+    pub(crate) fn unhashed(bytes: Bytes) -> Self {
+        InlineBytes { bytes, digest: AtomicU64::new(UNHASHED) }
+    }
+
+    /// FNV-1a of the bytes, computed on first ask and then memoized.
+    fn digest(&self) -> u64 {
+        match self.digest.load(Ordering::Relaxed) {
+            UNHASHED => {
+                let d = fnv1a(&self.bytes);
+                self.digest.store(d, Ordering::Relaxed);
+                d
+            }
+            d => d,
+        }
+    }
+}
+
+impl Clone for InlineBytes {
+    /// A clone shares the bytes and carries the digest if it is known.
+    fn clone(&self) -> Self {
+        let digest = AtomicU64::new(self.digest.load(Ordering::Relaxed));
+        InlineBytes { bytes: self.bytes.clone(), digest }
+    }
+}
+
+impl PartialEq for InlineBytes {
+    /// Equal bytes mean equal digests, so only the bytes are compared.
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for InlineBytes {}
+
+impl fmt::Debug for InlineBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.bytes.fmt(f)
+    }
+}
+
 /// A staged data payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
-    /// Actual bytes.
-    Inline(Bytes),
+    /// Actual bytes, with their digest.
+    Inline(InlineBytes),
     /// Size and digest only; content is not materialized.
     Virtual {
         /// Logical size in bytes.
@@ -54,9 +120,9 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// Build an inline payload from bytes.
+    /// Build an inline payload from bytes, hashing them once.
     pub fn inline(data: impl Into<Bytes>) -> Self {
-        Payload::Inline(data.into())
+        Payload::Inline(InlineBytes::hashed(data.into()))
     }
 
     /// Build a virtual payload of `len` bytes whose digest is derived from
@@ -68,7 +134,7 @@ impl Payload {
     /// Logical size in bytes.
     pub fn len(&self) -> u64 {
         match self {
-            Payload::Inline(b) => b.len() as u64,
+            Payload::Inline(b) => b.bytes.len() as u64,
             Payload::Virtual { len, .. } => *len,
         }
     }
@@ -78,10 +144,10 @@ impl Payload {
         self.len() == 0
     }
 
-    /// Content digest (computed for inline, stored for virtual).
+    /// Content digest (memoized for inline, stored for virtual).
     pub fn digest(&self) -> u64 {
         match self {
-            Payload::Inline(b) => fnv1a(b),
+            Payload::Inline(b) => b.digest(),
             Payload::Virtual { digest, .. } => *digest,
         }
     }
@@ -89,7 +155,7 @@ impl Payload {
     /// The bytes, if inline.
     pub fn bytes(&self) -> Option<&Bytes> {
         match self {
-            Payload::Inline(b) => Some(b),
+            Payload::Inline(b) => Some(&b.bytes),
             Payload::Virtual { .. } => None,
         }
     }
@@ -107,32 +173,37 @@ impl Serialize for Payload {
         // Serialized form: (is_inline, len, digest, bytes?)
         use serde::ser::SerializeTuple;
         let mut t = s.serialize_tuple(4)?;
-        match self {
-            Payload::Inline(b) => {
-                t.serialize_element(&true)?;
-                t.serialize_element(&(b.len() as u64))?;
-                t.serialize_element(&fnv1a(b))?;
-                t.serialize_element(&b.as_ref())?;
-            }
-            Payload::Virtual { len, digest } => {
-                t.serialize_element(&false)?;
-                t.serialize_element(len)?;
-                t.serialize_element(digest)?;
-                t.serialize_element::<[u8]>(&[])?;
-            }
-        }
+        t.serialize_element(&matches!(self, Payload::Inline(_)))?;
+        t.serialize_element(&self.len())?;
+        t.serialize_element(&self.digest())?;
+        t.serialize_element::<[u8]>(self.bytes().map_or(&[], |b| b.as_ref()))?;
         t.end()
     }
 }
 
 impl<'de> Deserialize<'de> for Payload {
+    /// An inline payload's recorded length and digest must match its bytes;
+    /// a mismatch is an error, never a silently re-labelled payload.
     fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        use serde::de::Error;
         let (inline, len, digest, data): (bool, u64, u64, Vec<u8>) = Deserialize::deserialize(d)?;
-        Ok(if inline {
-            Payload::Inline(Bytes::from(data))
-        } else {
-            Payload::Virtual { len, digest }
-        })
+        if !inline {
+            return Ok(Payload::Virtual { len, digest });
+        }
+        if len != data.len() as u64 {
+            return Err(D::Error::custom(format!(
+                "inline payload records len {len} but carries {} bytes",
+                data.len()
+            )));
+        }
+        let p = Payload::inline(data);
+        if p.digest() != digest {
+            return Err(D::Error::custom(format!(
+                "inline payload records digest {digest:016x} but its bytes hash to {:016x}",
+                p.digest()
+            )));
+        }
+        Ok(p)
     }
 }
 

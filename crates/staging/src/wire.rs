@@ -25,7 +25,7 @@
 //! only defines the record *body*.
 
 use crate::geometry::{BBox, MAX_DIMS};
-use crate::payload::Payload;
+use crate::payload::{InlineBytes, Payload};
 use bytes::Bytes;
 use std::fmt;
 
@@ -104,25 +104,16 @@ pub fn put_bbox(out: &mut Vec<u8>, b: &BBox) {
 /// log as a separate vectored part; they must land immediately after this
 /// prefix (i.e. at the end of the entry) for [`read_payload`] to find them.
 pub fn put_payload_meta(out: &mut Vec<u8>, p: &Payload) {
-    match p {
-        Payload::Inline(b) => {
-            out.push(1);
-            put_u64(out, b.len() as u64);
-            put_u64(out, crate::payload::fnv1a(b));
-        }
-        Payload::Virtual { len, digest } => {
-            out.push(0);
-            put_u64(out, *len);
-            put_u64(out, *digest);
-        }
-    }
+    out.push(matches!(p, Payload::Inline(_)) as u8);
+    put_u64(out, p.len());
+    put_u64(out, p.digest());
 }
 
 /// Write a payload in full: metadata prefix plus inline bytes (the
 /// contiguous, non-vectored encode path).
 pub fn put_payload(out: &mut Vec<u8>, p: &Payload) {
     put_payload_meta(out, p);
-    if let Payload::Inline(b) = p {
+    if let Some(b) = p.bytes() {
         out.extend_from_slice(b);
     }
 }
@@ -198,12 +189,16 @@ impl<'a> Reader<'a> {
 
     /// Read a payload: metadata prefix, then — for inline payloads — the
     /// declared number of trailing bytes (copied out of the record body).
+    /// An inline payload's recorded digest is skipped, not adopted: its
+    /// digest is hashed from the decoded bytes when first asked for, so
+    /// decoding never hashes and a corrupted body cannot vouch for itself.
     pub fn payload(&mut self) -> Result<Payload, WireError> {
         let inline = self.u8()? != 0;
         let len = self.u64()?;
         let digest = self.u64()?;
         Ok(if inline {
-            Payload::Inline(Bytes::copy_from_slice(self.take(len as usize)?))
+            let bytes = Bytes::copy_from_slice(self.take(len as usize)?);
+            Payload::Inline(InlineBytes::unhashed(bytes))
         } else {
             Payload::Virtual { len, digest }
         })
@@ -281,6 +276,21 @@ mod tests {
             assert_eq!(back, p);
             assert_eq!(back.digest(), p.digest());
         }
+    }
+
+    #[test]
+    fn decoded_inline_payload_equals_constructed_one() {
+        let p = Payload::inline(vec![0xC3u8; 40]);
+        let mut buf = Vec::new();
+        put_payload(&mut buf, &p);
+        // Corrupt the recorded digest: decode must not adopt it.
+        buf[9] ^= 0xFF;
+        let mut r = Reader { data: &buf, pos: 0 };
+        let back = r.payload().unwrap();
+        r.finish().unwrap();
+        assert_eq!(back, p);
+        assert_eq!(p, back);
+        assert_eq!(back.digest(), p.digest());
     }
 
     #[test]

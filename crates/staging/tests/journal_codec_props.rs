@@ -2,10 +2,9 @@
 //! round-trips every representable entry, the zero-copy meta/payload split
 //! matches the contiguous encoding, and truncation never misdecodes.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 use staging::geometry::BBox;
-use staging::payload::Payload;
+use staging::payload::{fnv1a, Payload};
 use staging::proto::{CtlRequest, ObjDesc};
 use staging::store_journal::StoreJournalEntry;
 use staging::wire;
@@ -16,7 +15,7 @@ fn arb_bbox() -> impl Strategy<Value = BBox> {
 
 fn arb_payload() -> impl Strategy<Value = Payload> {
     prop_oneof![
-        prop::collection::vec(any::<u8>(), 0..64).prop_map(|b| Payload::Inline(Bytes::from(b))),
+        prop::collection::vec(any::<u8>(), 0..64).prop_map(Payload::inline),
         (any::<u64>(), any::<u64>()).prop_map(|(len, digest)| Payload::Virtual { len, digest }),
     ]
 }
@@ -79,5 +78,28 @@ proptest! {
                 prop_assert_eq!(got, entry.clone(), "a prefix decoded to a different entry");
             }
         }
+    }
+
+    /// An inline payload's digest is FNV-1a of its bytes.
+    #[test]
+    fn inline_digest_is_fnv1a_of_bytes(data in prop::collection::vec(any::<u8>(), 0..256)) {
+        prop_assert_eq!(Payload::inline(data.clone()).digest(), fnv1a(&data));
+    }
+
+    /// A decoded put's inline payload equals the encoded one and, hashed
+    /// lazily from the decoded bytes, reports the same digest.
+    #[test]
+    fn decoded_put_payload_keeps_its_digest(
+        desc in arb_desc(),
+        data in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let payload = Payload::inline(data);
+        let encoded = StoreJournalEntry::Put { desc, payload: payload.clone() }.encode();
+        let back = match StoreJournalEntry::decode(&encoded) {
+            Some(StoreJournalEntry::Put { payload, .. }) => payload,
+            other => return Err(TestCaseError::fail(format!("decoded to {other:?}"))),
+        };
+        prop_assert_eq!(back.digest(), payload.digest());
+        prop_assert_eq!(back, payload);
     }
 }

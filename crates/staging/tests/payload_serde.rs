@@ -46,3 +46,18 @@ fn inline_and_virtual_serialize_distinctly() {
     assert!(matches!(serde_json::from_str::<Payload>(&ji).unwrap(), Payload::Inline(_)));
     assert!(matches!(serde_json::from_str::<Payload>(&jv).unwrap(), Payload::Virtual { .. }));
 }
+
+#[test]
+fn inline_metadata_must_match_its_bytes() {
+    let json = serde_json::to_string(&Payload::inline(vec![1, 2, 3])).unwrap();
+    let (inline, len, digest, data): (bool, u64, u64, Vec<u8>) =
+        serde_json::from_str(&json).unwrap();
+    let encode =
+        |len: u64, digest: u64| serde_json::to_string(&(inline, len, digest, &data)).unwrap();
+    assert!(serde_json::from_str::<Payload>(&encode(len, digest)).is_ok());
+
+    let wrong_len = serde_json::from_str::<Payload>(&encode(len + 1, digest)).unwrap_err();
+    assert!(wrong_len.to_string().contains("len"), "{wrong_len}");
+    let wrong_digest = serde_json::from_str::<Payload>(&encode(len, digest ^ 1)).unwrap_err();
+    assert!(wrong_digest.to_string().contains("digest"), "{wrong_digest}");
+}

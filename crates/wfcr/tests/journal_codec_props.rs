@@ -2,10 +2,9 @@
 //! every entry variant, the zero-copy meta/payload split, and truncation
 //! never misdecoding.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 use staging::geometry::BBox;
-use staging::payload::Payload;
+use staging::payload::{fnv1a, Payload};
 use staging::proto::ObjDesc;
 use staging::wire;
 use wfcr::journal::JournalEntry;
@@ -16,19 +15,22 @@ fn arb_bbox() -> impl Strategy<Value = BBox> {
 
 fn arb_payload() -> impl Strategy<Value = Payload> {
     prop_oneof![
-        prop::collection::vec(any::<u8>(), 0..64).prop_map(|b| Payload::Inline(Bytes::from(b))),
+        prop::collection::vec(any::<u8>(), 0..64).prop_map(Payload::inline),
         (any::<u64>(), any::<u64>()).prop_map(|(len, digest)| Payload::Virtual { len, digest }),
     ]
 }
 
-fn arb_entry() -> impl Strategy<Value = JournalEntry> {
-    let desc = (any::<u32>(), any::<u32>(), arb_bbox()).prop_map(|(var, version, bbox)| ObjDesc {
+fn arb_desc() -> impl Strategy<Value = ObjDesc> {
+    (any::<u32>(), any::<u32>(), arb_bbox()).prop_map(|(var, version, bbox)| ObjDesc {
         var,
         version,
         bbox,
-    });
+    })
+}
+
+fn arb_entry() -> impl Strategy<Value = JournalEntry> {
     prop_oneof![
-        (any::<u32>(), desc, arb_payload(), any::<u64>()).prop_map(
+        (any::<u32>(), arb_desc(), arb_payload(), any::<u64>()).prop_map(
             |(app, desc, payload, digest)| JournalEntry::Put { app, desc, payload, digest }
         ),
         (
@@ -88,5 +90,28 @@ proptest! {
                 prop_assert_eq!(got, entry.clone(), "a prefix decoded to a different entry");
             }
         }
+    }
+
+    /// An inline payload's digest is FNV-1a of its bytes.
+    #[test]
+    fn inline_digest_is_fnv1a_of_bytes(data in prop::collection::vec(any::<u8>(), 0..256)) {
+        prop_assert_eq!(Payload::inline(data.clone()).digest(), fnv1a(&data));
+    }
+
+    /// A decoded put's inline payload equals the encoded one and, hashed
+    /// lazily from the decoded bytes, reports the same digest.
+    #[test]
+    fn decoded_put_payload_keeps_its_digest(
+        desc in arb_desc(),
+        data in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let payload = Payload::inline(data);
+        let encoded = JournalEntry::Put { app: 0, desc, payload: payload.clone(), digest: 0 }.encode();
+        let back = match JournalEntry::decode(&encoded) {
+            Some(JournalEntry::Put { payload, .. }) => payload,
+            other => return Err(TestCaseError::fail(format!("decoded to {other:?}"))),
+        };
+        prop_assert_eq!(back.digest(), payload.digest());
+        prop_assert_eq!(back, payload);
     }
 }
