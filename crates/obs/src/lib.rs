@@ -18,16 +18,15 @@
 //! * a [`Tracer`] is the cheap cloneable handle actors hold. A disabled
 //!   tracer (`Tracer::off()`) is a `None` and every call on it is a no-op, so
 //!   instrumentation-off runs do no extra work and allocate nothing;
-//! * a [`Recorder`] is where records go: [`FullRecorder`] keeps everything
-//!   (the JSONL / Perfetto export source), [`FlightRecorder`] keeps a bounded
-//!   ring of the most recent records for post-mortem dumps on failure, and
-//!   [`JsonlSink`] / [`PerfettoSink`] pair a full recorder with an export
-//!   format.
+//! * a tracer records into one of two sinks: [`Tracer::full`] keeps
+//!   everything (the JSONL / Perfetto export source), [`Tracer::flight`]
+//!   keeps a bounded ring of the most recent records for post-mortem dumps
+//!   on failure. The export format is chosen on the finished [`Trace`].
 //!
 //! Span and trace identifiers are allocated from a per-tracer monotonic
 //! counter. Allocation happens in engine-dispatch order, which is itself
 //! deterministic, so identifiers are reproducible across runs; in threaded
-//! mode each thread gets a disjoint id namespace (see [`Tracer::with_sink_base`])
+//! mode each thread gets a disjoint id namespace (see [`Tracer::full_with_base`])
 //! and [`merge`] interleaves the per-thread records deterministically.
 
 pub mod analyze;
@@ -129,129 +128,64 @@ pub struct Trace {
     pub dropped: u64,
 }
 
-/// Destination for records. Implementations must be `Send`: in threaded mode
-/// a tracer crosses into server threads.
-pub trait Recorder: Send {
-    /// Accept one record.
-    fn record(&mut self, r: Record);
-    /// Remove and return everything recorded so far, in order.
-    fn drain(&mut self) -> Vec<Record>;
-    /// Copy of everything currently held, in order (the flight-dump path —
-    /// must not disturb the sink).
-    fn snapshot(&self) -> Vec<Record>;
-    /// Records discarded so far (bounded sinks only).
-    fn dropped(&self) -> u64 {
-        0
-    }
+/// Where a tracer's records go. Closed on purpose: the export format is
+/// chosen by [`Trace::to_jsonl`] / [`Trace::to_perfetto`], not by the sink.
+enum Sink {
+    /// Keeps every record: the source for JSONL and Perfetto exports.
+    Full(Vec<Record>),
+    /// Ring of the most recent `cap` records, for post-mortem dumps when a
+    /// run wedges or an oracle fails. Once full, `head` is the oldest slot
+    /// and `shed` counts the records overwritten.
+    Flight { buf: Vec<Record>, cap: usize, head: usize, shed: u64 },
 }
 
-/// Unbounded sink: keeps every record. The source for JSONL and Perfetto
-/// exports.
-#[derive(Debug, Default)]
-pub struct FullRecorder {
-    records: Vec<Record>,
-}
-
-impl Recorder for FullRecorder {
+impl Sink {
     fn record(&mut self, r: Record) {
-        self.records.push(r);
-    }
-
-    fn drain(&mut self) -> Vec<Record> {
-        std::mem::take(&mut self.records)
-    }
-
-    fn snapshot(&self) -> Vec<Record> {
-        self.records.clone()
-    }
-}
-
-/// Bounded ring sink: keeps the most recent `cap` records and counts what it
-/// sheds. Cheap enough to leave always-on; dumped when a run wedges or an
-/// oracle fails, so the tail of history leading into the failure survives.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    buf: Vec<Record>,
-    cap: usize,
-    head: usize,
-    shed: u64,
-}
-
-impl FlightRecorder {
-    /// A ring holding at most `cap` records (`cap >= 1`).
-    pub fn new(cap: usize) -> FlightRecorder {
-        assert!(cap >= 1, "flight recorder capacity must be nonzero");
-        FlightRecorder { buf: Vec::with_capacity(cap.min(1024)), cap, head: 0, shed: 0 }
-    }
-}
-
-impl Recorder for FlightRecorder {
-    fn record(&mut self, r: Record) {
-        if self.buf.len() < self.cap {
-            self.buf.push(r);
-        } else {
-            self.buf[self.head] = r;
-            self.head = (self.head + 1) % self.cap;
-            self.shed += 1;
+        match self {
+            Sink::Full(records) => records.push(r),
+            Sink::Flight { buf, cap, head, shed } => {
+                if buf.len() < *cap {
+                    buf.push(r);
+                } else {
+                    buf[*head] = r;
+                    *head = (*head + 1) % *cap;
+                    *shed += 1;
+                }
+            }
         }
     }
 
+    /// Remove and return everything held, oldest first.
     fn drain(&mut self) -> Vec<Record> {
-        let out = self.snapshot();
-        self.buf.clear();
-        self.head = 0;
-        out
+        match self {
+            Sink::Full(records) => std::mem::take(records),
+            Sink::Flight { buf, head, .. } => {
+                buf.rotate_left(*head);
+                *head = 0;
+                std::mem::take(buf)
+            }
+        }
     }
 
+    /// Copy of everything held, oldest first, leaving the sink untouched.
     fn snapshot(&self) -> Vec<Record> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
+        match self {
+            Sink::Full(records) => records.clone(),
+            Sink::Flight { buf, head, .. } => [&buf[*head..], &buf[..*head]].concat(),
+        }
     }
 
     fn dropped(&self) -> u64 {
-        self.shed
-    }
-}
-
-/// Full sink tagged with the JSONL export format (see
-/// [`Trace::to_jsonl`]).
-#[derive(Debug, Default)]
-pub struct JsonlSink(pub FullRecorder);
-
-impl Recorder for JsonlSink {
-    fn record(&mut self, r: Record) {
-        self.0.record(r);
-    }
-    fn drain(&mut self) -> Vec<Record> {
-        self.0.drain()
-    }
-    fn snapshot(&self) -> Vec<Record> {
-        self.0.snapshot()
-    }
-}
-
-/// Full sink tagged with the Chrome/Perfetto export format (see
-/// [`Trace::to_perfetto`]).
-#[derive(Debug, Default)]
-pub struct PerfettoSink(pub FullRecorder);
-
-impl Recorder for PerfettoSink {
-    fn record(&mut self, r: Record) {
-        self.0.record(r);
-    }
-    fn drain(&mut self) -> Vec<Record> {
-        self.0.drain()
-    }
-    fn snapshot(&self) -> Vec<Record> {
-        self.0.snapshot()
+        match self {
+            Sink::Full(_) => 0,
+            Sink::Flight { shed, .. } => *shed,
+        }
     }
 }
 
 struct Inner {
     tracks: Vec<String>,
-    sink: Box<dyn Recorder>,
+    sink: Sink,
     next_span: u64,
 }
 
@@ -281,16 +215,7 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// A tracer feeding `sink`.
-    pub fn with_sink(sink: Box<dyn Recorder>) -> Tracer {
-        Tracer::with_sink_base(sink, 0)
-    }
-
-    /// A tracer feeding `sink` whose span ids start above
-    /// `base << 32`. Per-thread tracers in the real-thread transport use
-    /// disjoint bases so merged traces need no id remapping: ids stay unique
-    /// and cross-thread `TraceCtx` references stay valid.
-    pub fn with_sink_base(sink: Box<dyn Recorder>, base: u32) -> Tracer {
+    fn with_sink(sink: Sink, base: u32) -> Tracer {
         Tracer {
             inner: Some(Arc::new(Mutex::new(Inner {
                 tracks: Vec::new(),
@@ -300,15 +225,26 @@ impl Tracer {
         }
     }
 
-    /// A tracer keeping everything ([`FullRecorder`]).
+    /// A tracer keeping every record (the JSONL / Perfetto export source).
     pub fn full() -> Tracer {
-        Tracer::with_sink(Box::<FullRecorder>::default())
+        Tracer::full_with_base(0)
     }
 
-    /// A tracer keeping the most recent `cap` records
-    /// ([`FlightRecorder`]).
+    /// A tracer keeping every record whose span ids start above
+    /// `base << 32`. Per-thread tracers in the real-thread transport use
+    /// disjoint bases so merged traces need no id remapping: ids stay unique
+    /// and cross-thread `TraceCtx` references stay valid.
+    pub fn full_with_base(base: u32) -> Tracer {
+        Tracer::with_sink(Sink::Full(Vec::new()), base)
+    }
+
+    /// A tracer keeping the most recent `cap` records (`cap >= 1`) and
+    /// counting what it sheds: the flight recorder, cheap enough to leave
+    /// on and dumped when a run wedges.
     pub fn flight(cap: usize) -> Tracer {
-        Tracer::with_sink(Box::new(FlightRecorder::new(cap)))
+        assert!(cap >= 1, "flight recorder capacity must be nonzero");
+        let buf = Vec::with_capacity(cap.min(1024));
+        Tracer::with_sink(Sink::Flight { buf, cap, head: 0, shed: 0 }, 0)
     }
 
     /// Is this tracer recording?
@@ -429,7 +365,7 @@ impl Tracer {
 /// Track tables are unioned by name (first part wins the lower index) and
 /// record track indices are rewritten. Span ids are *not* remapped: parts
 /// are expected to come from tracers with disjoint id bases
-/// ([`Tracer::with_sink_base`]), which keeps cross-thread parent references
+/// ([`Tracer::full_with_base`]), which keeps cross-thread parent references
 /// intact.
 pub fn merge(parts: Vec<Trace>) -> Trace {
     // Canonical track table: the union of part track names, sorted — so the
@@ -509,33 +445,26 @@ mod tests {
 
     #[test]
     fn flight_recorder_keeps_tail_and_counts_shed() {
-        let mut f = FlightRecorder::new(3);
+        let f = Tracer::flight(3);
+        let tk = f.track("x");
         for i in 0..5u64 {
-            f.record(Record {
-                k: RecordKind::Instant,
-                tr: 0,
-                sp: 0,
-                par: 0,
-                track: 0,
-                name: format!("e{i}"),
-                t: i,
-                seq: i,
-                args: vec![],
-            });
+            f.instant(TraceCtx::NONE, tk, &format!("e{i}"), i, i, vec![]);
         }
-        assert_eq!(f.dropped(), 2);
-        let snap = f.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap[0].name, "e2");
-        assert_eq!(snap[2].name, "e4");
-        // Snapshot is non-destructive.
-        assert_eq!(f.snapshot().len(), 3);
+        let snap = f.dump();
+        assert_eq!(snap.dropped, 2);
+        assert_eq!(snap.records.len(), 3);
+        assert_eq!(snap.records[0].name, "e2");
+        assert_eq!(snap.records[2].name, "e4");
+        // Dump is non-destructive; finish drains in the same order.
+        assert_eq!(f.dump(), snap);
+        assert_eq!(f.finish(), snap);
+        assert!(f.dump().records.is_empty());
     }
 
     #[test]
     fn merge_interleaves_deterministically_and_unions_tracks() {
-        let ta = Tracer::with_sink_base(Box::<FullRecorder>::default(), 1);
-        let tb = Tracer::with_sink_base(Box::<FullRecorder>::default(), 2);
+        let ta = Tracer::full_with_base(1);
+        let tb = Tracer::full_with_base(2);
         let ka = ta.track("client");
         let kb = tb.track("server");
         let kb2 = tb.track("client"); // same name on the other thread
@@ -559,8 +488,8 @@ mod tests {
 
     #[test]
     fn disjoint_bases_never_collide() {
-        let ta = Tracer::with_sink_base(Box::<FullRecorder>::default(), 1);
-        let tb = Tracer::with_sink_base(Box::<FullRecorder>::default(), 2);
+        let ta = Tracer::full_with_base(1);
+        let tb = Tracer::full_with_base(2);
         let a = ta.begin(TraceCtx::NONE, TrackId(0), "a", 0, 0, vec![]);
         let b = tb.begin(TraceCtx::NONE, TrackId(0), "b", 0, 0, vec![]);
         assert_ne!(a.parent, b.parent);

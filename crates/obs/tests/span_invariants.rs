@@ -10,8 +10,7 @@ use proptest::prelude::*;
 /// innermost open span, opens a child (or a root when nothing is open), or
 /// records an instant; whatever is left open at the end is closed LIFO —
 /// the discipline instrumented actors follow (abort-on-failure included).
-fn drive(tape: &[u8]) -> obs::Trace {
-    let tracer = Tracer::full();
+fn drive(tracer: &Tracer, tape: &[u8]) {
     let tracks = [tracer.track("a"), tracer.track("b")];
     let mut stack: Vec<(TraceCtx, obs::TrackId)> = Vec::new();
     let mut t = 0u64;
@@ -38,13 +37,19 @@ fn drive(tape: &[u8]) -> obs::Trace {
         seq += 1;
         tracer.end(ctx, tk, t, seq, vec![]);
     }
+}
+
+/// The trace `tape` records into an unbounded tracer.
+fn full(tape: &[u8]) -> obs::Trace {
+    let tracer = Tracer::full();
+    drive(&tracer, tape);
     tracer.finish()
 }
 
 proptest! {
     #[test]
     fn every_span_closes_exactly_once_at_or_after_open(tape in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let trace = drive(&tape);
+        let trace = full(&tape);
         for r in trace.records.iter().filter(|r| r.k == RecordKind::Begin) {
             let ends: Vec<_> = trace
                 .records
@@ -64,11 +69,29 @@ proptest! {
 
     #[test]
     fn exports_round_trip_and_are_deterministic(tape in proptest::collection::vec(any::<u8>(), 0..120)) {
-        let a = drive(&tape);
-        let b = drive(&tape);
+        let a = full(&tape);
+        let b = full(&tape);
         prop_assert_eq!(a.to_jsonl(), b.to_jsonl());
         prop_assert_eq!(a.to_perfetto(), b.to_perfetto());
         let back = obs::Trace::from_jsonl(&a.to_jsonl()).expect("parse");
         prop_assert_eq!(back, a);
+    }
+
+    #[test]
+    fn flight_keeps_the_tail_of_the_full_trace(
+        tape in proptest::collection::vec(any::<u8>(), 0..200),
+        pick in any::<usize>(),
+    ) {
+        let all = full(&tape);
+        let n = all.records.len();
+        let cap = 1 + pick % (n + 2);
+        let flight = Tracer::flight(cap);
+        drive(&flight, &tape);
+        let dump = flight.dump();
+        let kept = cap.min(n);
+        prop_assert_eq!(&dump.tracks, &all.tracks);
+        prop_assert_eq!(&dump.records[..], &all.records[n - kept..]);
+        prop_assert_eq!(dump.dropped, (n - kept) as u64);
+        prop_assert_eq!(dump, flight.finish(), "dump is a non-destructive finish");
     }
 }

@@ -53,16 +53,14 @@
 pub mod choice;
 pub mod engine;
 pub mod metrics;
-pub mod quantile;
+mod quantile;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use choice::{ChoiceKind, ChoiceSource, DeliveryOption};
 pub use engine::{Actor, ActorId, Ctx, Engine, Event};
 pub use metrics::Metrics;
-pub use quantile::P2Quantile;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use stats::StreamStats;
 pub use time::SimTime;

@@ -12,7 +12,6 @@
 //! Names are plain strings; subsystems namespace themselves by convention
 //! (`"staging.put_bytes"`, `"wfcr.replayed_events"`).
 
-use crate::quantile::P2Quantile;
 use crate::stats::StreamStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -52,9 +51,6 @@ pub struct Metrics {
     /// Exact log-linear histograms for tail streams (nanosecond ticks):
     /// the authoritative source for p50/p99/p999, mergeable without loss.
     tails: BTreeMap<String, Histogram>,
-    /// Legacy P² estimators, kept as a cross-check oracle for the exact
-    /// histograms (five markers, unmergeable, no error bound).
-    p99s: BTreeMap<String, P2Quantile>,
 }
 
 impl Metrics {
@@ -112,15 +108,13 @@ impl Metrics {
         self.streams.get(name).cloned().unwrap_or_default()
     }
 
-    /// Record a sample into the stream `name` *and* its tail trackers — use
-    /// for latency-style streams whose tail matters. The sample (seconds)
-    /// lands in an exact log-linear [`Histogram`] (nanosecond ticks, the
-    /// authoritative quantile source) and in the legacy P² estimator kept
-    /// as a cross-check oracle.
+    /// Record a sample into the stream `name` *and* its tail histogram —
+    /// use for latency-style streams whose tail matters. The sample
+    /// (seconds) lands in an exact log-linear [`Histogram`] (nanosecond
+    /// ticks), the quantile source.
     pub fn observe_tail(&mut self, name: &str, sample: f64) {
         self.observe(name, sample);
         self.tails.entry(name.to_owned()).or_default().record(secs_to_ns(sample));
-        self.p99s.entry(name.to_owned()).or_insert_with(|| P2Quantile::new(0.99)).push(sample);
     }
 
     /// Exact quantile `q` (seconds) of a stream recorded via
@@ -135,13 +129,6 @@ impl Metrics {
     /// [`Metrics::observe_tail`] (`None` if never recorded that way).
     pub fn p99(&self, name: &str) -> Option<f64> {
         self.quantile(name, 0.99)
-    }
-
-    /// The legacy P² p99 *estimate* for a stream — the cross-check oracle
-    /// the exact histogram replaced. Unmergeable and unbounded-error; kept
-    /// only so tests can assert the two sources agree.
-    pub fn p99_oracle(&self, name: &str) -> Option<f64> {
-        self.p99s.get(name).and_then(P2Quantile::estimate)
     }
 
     /// The exact tail histogram for a stream (`None` if never recorded via
@@ -208,17 +195,6 @@ impl Metrics {
                 }
             }
         }
-        // P² estimators cannot be merged exactly; keep whichever side saw
-        // more samples (diagnostic fidelity only — the histogram above is
-        // the authoritative tail source).
-        for (k, q) in &other.p99s {
-            match self.p99s.get(k) {
-                Some(mine) if mine.count() >= q.count() => {}
-                _ => {
-                    self.p99s.insert(k.clone(), q.clone());
-                }
-            }
-        }
     }
 
     /// Reset everything (between benchmark iterations).
@@ -227,7 +203,6 @@ impl Metrics {
         self.gauges.clear();
         self.streams.clear();
         self.tails.clear();
-        self.p99s.clear();
     }
 
     /// A serializable snapshot of the whole registry, entries in name order.
@@ -260,7 +235,6 @@ impl Metrics {
                     p50: self.quantile(k, 0.50),
                     p99: self.p99(k),
                     p999: self.quantile(k, 0.999),
-                    p99_p2: self.p99_oracle(k),
                 })
                 .collect(),
         }
@@ -307,15 +281,11 @@ pub struct StreamEntry {
     #[serde(default)]
     pub p50: Option<f64>,
     /// Exact p99 (seconds), when recorded via [`Metrics::observe_tail`].
-    /// Sourced from the log-linear histogram (bounded-error), not the old
-    /// P² markers.
+    /// Sourced from the log-linear histogram (bounded-error).
     pub p99: Option<f64>,
     /// Exact p999 (seconds), when recorded via [`Metrics::observe_tail`].
     #[serde(default)]
     pub p999: Option<f64>,
-    /// Legacy P² p99 estimate, kept as a cross-check oracle for `p99`.
-    #[serde(default)]
-    pub p99_p2: Option<f64>,
 }
 
 /// Serializable snapshot of a [`Metrics`] registry: what reports embed and
@@ -461,6 +431,12 @@ mod tests {
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
+        // Snapshots written while streams still carried the P² estimate
+        // (`p99_p2`) keep deserializing: unknown keys are ignored.
+        let legacy = json.replace("\"p999\":", "\"p99_p2\":1.5,\"p999\":");
+        assert_ne!(legacy, json);
+        let back: MetricsSnapshot = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(back, snap);
     }
 
     #[test]
@@ -477,12 +453,8 @@ mod tests {
         assert!((p50 - 0.500).abs() / 0.500 < 0.01, "p50 {p50}");
         let p999 = m.quantile("lat", 0.999).unwrap();
         assert!((p999 - 0.999).abs() / 0.999 < 0.01, "p999 {p999}");
-        // The P² oracle agrees with the exact histogram on this smooth
-        // stream (cross-check, not authority).
-        let oracle = m.p99_oracle("lat").unwrap();
-        assert!((oracle - p99).abs() / p99 < 0.05, "oracle {oracle} vs exact {p99}");
         assert_eq!(m.p99("missing"), None);
-        // Plain observe creates neither histogram nor estimator.
+        // Plain observe creates no histogram.
         m.observe("plain", 1.0);
         assert_eq!(m.p99("plain"), None);
         assert!(m.tail_hist("plain").is_none());
@@ -507,8 +479,34 @@ mod tests {
         assert_eq!(a.tail_hist("x"), whole.tail_hist("x"));
         assert_eq!(a.p99("x"), whole.p99("x"));
         assert!(a.p99("x").unwrap() > 100.0);
-        // The oracle keeps whichever side saw more samples (b).
-        assert!(a.p99_oracle("x").unwrap() > 100.0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// The exact histogram quantile and the P² estimate agree on the
+        /// same stream. P² carries no hard bound, so the tolerance is its
+        /// empirical wobble on uniform samples plus the histogram's own
+        /// sub-percent bucket error.
+        #[test]
+        fn exact_quantile_agrees_with_p2_oracle(
+            base_us in 100u64..10_000,
+            spread in 2u64..10,
+            n in 400usize..1200,
+        ) {
+            let mut m = Metrics::default();
+            let mut oracle = crate::quantile::P2Quantile::new(0.99);
+            for i in 0..n {
+                // Deterministic uniform-ish sweep over [base, spread*base) µs.
+                let us = base_us + (i as u64 * 7919) % (base_us * (spread - 1));
+                m.observe_tail("lat", us as f64 * 1e-6);
+                oracle.push(us as f64 * 1e-6);
+            }
+            let exact = m.p99("lat").expect("exact p99 exists");
+            let oracle = oracle.estimate().expect("P² estimate exists");
+            let rel = (exact - oracle).abs() / oracle.max(1e-12);
+            proptest::prop_assert!(rel < 0.15, "exact {exact} vs P² {oracle}: rel {rel}");
+        }
     }
 
     #[test]

@@ -54,15 +54,14 @@ pub fn spawn_server<B: StoreBackend>(
 /// ticks — a pure function of the per-thread traces, so merging the joined
 /// parts in any order produces the same bytes. Span-id collisions between
 /// threads are prevented by giving thread `index` the id base `index + 1`
-/// (see [`obs::Tracer::with_sink_base`]).
+/// (see [`obs::Tracer::full_with_base`]).
 pub fn spawn_server_traced<B: StoreBackend>(
     endpoint: ThreadEndpoint,
     logic: ServerLogic<B>,
     index: usize,
 ) -> JoinHandle<(ServerLogic<B>, obs::Trace)> {
     std::thread::spawn(move || {
-        let sink = Box::new(obs::FullRecorder::default());
-        let tracer = obs::Tracer::with_sink_base(sink, index as u32 + 1);
+        let tracer = obs::Tracer::full_with_base(index as u32 + 1);
         serve_loop(endpoint, logic, tracer, &format!("server{index}"))
     })
 }

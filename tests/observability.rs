@@ -152,10 +152,16 @@ fn net_retries_appear_as_resend_instants() {
 
 #[test]
 fn flight_recorder_caps_retention_and_counts_shed() {
-    let cfg = failing(1).with_tracing(TraceCfg::flight(64));
-    let (_, trace) = run_traced(&cfg);
+    let (_, full) = run_traced(&failing(1).with_tracing(TraceCfg::full()));
+    let (_, trace) = run_traced(&failing(1).with_tracing(TraceCfg::flight(64)));
     assert!(trace.records.len() <= 64, "cap respected: {}", trace.records.len());
     assert!(trace.dropped > 0, "a full run sheds records past the cap");
+    // The ring keeps exactly the full trace's tail and counts the rest.
+    let n = full.records.len();
+    assert_eq!(trace.tracks, full.tracks, "both sinks intern the same tracks");
+    assert_eq!(trace.records, full.records[n - 64..], "flight keeps the last 64 records");
+    assert_eq!(trace.dropped, (n - 64) as u64, "every older record is counted as shed");
+    assert_eq!(full.dropped, 0, "the full sink sheds nothing");
 }
 
 #[test]
@@ -198,4 +204,28 @@ fn report_json_line_round_trips() {
     assert_eq!(back.replayed_gets, report.replayed_gets);
     let m = back.metrics.expect("snapshot embedded");
     assert_eq!(m.counter("wf.puts"), report.puts);
+}
+
+/// Cross-commit goldens for the trace exports of `failing(1)`: byte length
+/// and FNV-1a of the JSONL and Perfetto files under the full recorder and a
+/// 64-record flight recorder. `traced_exports_are_byte_identical_across_runs`
+/// compares two runs of one build; these pin the bytes across changes to the
+/// recorder, the exporters and anything a trace observes. Update them only
+/// for an intended change to the trace.
+#[test]
+fn trace_exports_match_golden_digests() {
+    let cases = [
+        ("full", TraceCfg::full(), [(173_878, 0x58afb39550ab0fdc), (163_690, 0x9698007ea1c552b5)]),
+        (
+            "flight(64)",
+            TraceCfg::flight(64),
+            [(9_177, 0xa0a3bcf589aab15), (8_890, 0xcbcb61088317fcb7)],
+        ),
+    ];
+    for (label, tc, [jsonl, perfetto]) in cases {
+        let (_, trace) = run_traced(&failing(1).with_tracing(tc));
+        let got = |s: String| (s.len(), sim_core::choice::fnv1a(s.as_bytes()));
+        assert_eq!(got(trace.to_jsonl()), jsonl, "{label} JSONL export");
+        assert_eq!(got(trace.to_perfetto()), perfetto, "{label} Perfetto export");
+    }
 }
